@@ -1,21 +1,18 @@
 //! Criterion microbenches for query latency: the reachability test
 //! (the paper's `LIN ⋈ LOUT` intersection), ancestor/descendant
-//! enumeration, and the distance query — against both the in-memory cover
-//! and the LIN/LOUT store.
+//! enumeration, and the distance query — against the in-memory cover.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use hopi_bench::dblp_collection;
 use hopi_build::{build_index, BuildConfig};
 use hopi_core::DistanceCoverBuilder;
 use hopi_graph::DistanceClosure;
-use hopi_store::LinLoutStore;
 use rand::prelude::*;
 use rand::rngs::StdRng;
 
 fn bench_queries(c: &mut Criterion) {
     let collection = dblp_collection(0.02);
     let (index, _) = build_index(&collection, &BuildConfig::default());
-    let store = LinLoutStore::from_cover(index.cover());
     let n = collection.elem_id_bound() as u32;
     let mut rng = StdRng::seed_from_u64(7);
     let pairs: Vec<(u32, u32)> = (0..1024)
@@ -31,23 +28,10 @@ fn bench_queries(c: &mut Criterion) {
             std::hint::black_box(index.connected(u, v))
         })
     });
-    group.bench_function("store_connected", |b| {
-        b.iter(|| {
-            i = (i + 1) % pairs.len();
-            let (u, v) = pairs[i];
-            std::hint::black_box(store.connected(u, v))
-        })
-    });
     group.bench_function("cover_descendants", |b| {
         b.iter(|| {
             i = (i + 1) % pairs.len();
             std::hint::black_box(index.descendants(pairs[i].0).len())
-        })
-    });
-    group.bench_function("store_descendants", |b| {
-        b.iter(|| {
-            i = (i + 1) % pairs.len();
-            std::hint::black_box(store.descendants(pairs[i].0).len())
         })
     });
     group.bench_function("cover_ancestors", |b| {
@@ -63,7 +47,6 @@ fn bench_queries(c: &mut Criterion) {
     let small = dblp_collection(0.005);
     let dc = DistanceClosure::from_graph(&small.element_graph());
     let dist_cover = DistanceCoverBuilder::new(&dc).build();
-    let dist_store = LinLoutStore::from_distance_cover(&dist_cover);
     let m = small.elem_id_bound() as u32;
     let dpairs: Vec<(u32, u32)> = (0..1024)
         .map(|_| (rng.gen_range(0..m), rng.gen_range(0..m)))
@@ -74,13 +57,6 @@ fn bench_queries(c: &mut Criterion) {
             i = (i + 1) % dpairs.len();
             let (u, v) = dpairs[i];
             std::hint::black_box(dist_cover.distance(u, v))
-        })
-    });
-    group.bench_function("store_distance_min_join", |b| {
-        b.iter(|| {
-            i = (i + 1) % dpairs.len();
-            let (u, v) = dpairs[i];
-            std::hint::black_box(dist_store.distance(u, v))
         })
     });
     group.finish();

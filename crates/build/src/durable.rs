@@ -32,9 +32,7 @@
 use crate::error::HopiError;
 use crate::facade::{Hopi, HopiBuilder};
 use hopi_maintenance::DocumentLinks;
-use hopi_store::{
-    load_checkpoint_in, save_checkpoint_in, PersistError, StoredIndex, SyncPolicy, Wal,
-};
+use hopi_store::{load_checkpoint_in, save_checkpoint_in, PersistError, SyncPolicy, Wal};
 use hopi_store::{sync_parent_dir_in, StdVfs, Vfs, VfsFile, WalRecord};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -364,7 +362,7 @@ pub(crate) fn recover_dir(
     builder: HopiBuilder,
 ) -> Result<(Hopi, Wal, u64), HopiError> {
     let ckpt = load_checkpoint_in(&*config.vfs, &config.checkpoint_path())?;
-    let mut engine = builder.open_stored(ckpt.collection, StoredIndex::Frozen(ckpt.frozen))?;
+    let mut engine = builder.open_stored(ckpt.collection, ckpt.frozen)?;
     // A missing log (e.g. a checkpoint-only restore from backup) is
     // recreated at the *checkpoint's* sequence — a base of 0 would make
     // the next recovery skip every new record as "already inside the

@@ -19,7 +19,7 @@ use hopi_query::{
     evaluate_ranked_with_text, parse_path, with_thread_evaluator, EvalOptions, PlanCounters,
     QueryPlanReport, RankedMatch, TagIndex,
 };
-use hopi_store::{load_index, save_frozen, save_store, LinLoutStore, StoredIndex};
+use hopi_store::{load_index, save_frozen};
 use hopi_text::{TextIndex, TextSource, TextStats};
 use hopi_xml::parser::{parse_collection, parse_document};
 use hopi_xml::{Collection, DocId, ElemId, XmlDocument};
@@ -215,65 +215,36 @@ impl HopiBuilder {
         self.build(parse_collection(docs)?)
     }
 
-    /// Reconstructs an engine from an index persisted with [`Hopi::save`]
-    /// or [`Hopi::save_frozen`] (the layout is auto-detected), skipping the
-    /// build but keeping this builder's configuration for future
-    /// [`Hopi::rebuild`]s and queries. The distance cover is restored from
-    /// the file's DIST data when present, or built fresh when the builder
-    /// asked for [`distance_aware`](Self::distance_aware). A frozen CSR
-    /// file thaws with no re-sorting — rows are stored sorted — so opening
-    /// for serving is cheap.
+    /// Reconstructs an engine from an index persisted with [`Hopi::save`],
+    /// skipping the build but keeping this builder's configuration for
+    /// future [`Hopi::rebuild`]s and queries. The distance cover is
+    /// restored from the file's DIST data when present, or built fresh when
+    /// the builder asked for [`distance_aware`](Self::distance_aware). The
+    /// frozen CSR file thaws with no re-sorting — rows are stored sorted —
+    /// so opening for serving is cheap. Row files written by earlier
+    /// releases still open: their ids are checked against `collection`.
     pub fn open(self, collection: Collection, path: &Path) -> Result<Hopi, HopiError> {
-        let stored = load_index(path)?;
-        self.open_stored(collection, stored)
+        let frozen = load_index(path, collection.elem_id_bound())?;
+        self.open_stored(collection, frozen)
     }
 
-    /// Assembles an engine from an already-loaded index (the shared tail
-    /// of [`HopiBuilder::open`] and durable-checkpoint recovery).
+    /// Assembles an engine from an already-loaded frozen cover (the shared
+    /// tail of [`HopiBuilder::open`] and durable-checkpoint recovery).
     pub(crate) fn open_stored(
         self,
         collection: Collection,
-        stored: StoredIndex,
+        frozen: hopi_core::FrozenCover,
     ) -> Result<Hopi, HopiError> {
-        let (cover, distance) = match stored {
-            StoredIndex::Frozen(frozen) => {
-                let distance = match frozen.thaw_distance() {
-                    Some(d) => Some(d),
-                    None => self
-                        .distance_aware
-                        .then(|| build_distance_cover(&collection)),
-                };
-                // A distance-annotated file carries the *distance* cover's
-                // labels; they are exact for reachability too, so the plain
-                // index thaws from the same rows.
-                (frozen.thaw(), distance)
-            }
-            StoredIndex::Rows(store) => {
-                let mut cover = hopi_core::TwoHopCover::new();
-                for r in store.lout().rows() {
-                    cover.add_out(r.id, r.other);
-                }
-                for r in store.lin().rows() {
-                    cover.add_in(r.id, r.other);
-                }
-                let with_dist = store.lin().with_dist() || store.lout().with_dist();
-                let distance = if with_dist {
-                    let mut d = DistanceCover::default();
-                    for r in store.lout().rows() {
-                        d.add_out(r.id, r.other, r.dist);
-                    }
-                    for r in store.lin().rows() {
-                        d.add_in(r.id, r.other, r.dist);
-                    }
-                    Some(d)
-                } else {
-                    self.distance_aware
-                        .then(|| build_distance_cover(&collection))
-                };
-                (cover, distance)
-            }
+        let distance = match frozen.thaw_distance() {
+            Some(d) => Some(d),
+            None => self
+                .distance_aware
+                .then(|| build_distance_cover(&collection)),
         };
-        let index = HopiIndex::from_cover(cover);
+        // A distance-annotated file carries the *distance* cover's labels;
+        // they are exact for reachability too, so the plain index thaws
+        // from the same rows.
+        let index = HopiIndex::from_cover(frozen.thaw());
         let tags = TagIndex::build(&collection);
         let text = TextIndex::build(&collection);
         let report = BuildReport {
@@ -398,33 +369,21 @@ impl Hopi {
         Hopi::builder().recover(dir)
     }
 
-    /// Persists the index in the paper's LIN/LOUT table layout. A
-    /// distance-aware engine persists the DIST column too, so
-    /// [`Hopi::open`] restores distance queries.
-    pub fn save(&self, path: &Path) -> Result<(), HopiError> {
-        let store = match &self.distance {
-            Some(cover) => LinLoutStore::from_distance_cover(cover),
-            None => LinLoutStore::from_cover(self.index.cover()),
-        };
-        save_store(&store, path)?;
-        Ok(())
-    }
-
-    /// Persists the index as a frozen CSR blob — the serving layout.
-    /// [`Hopi::open`] (and the builder's `open`) auto-detect it and thaw
-    /// without re-sorting; [`hopi_store::load_frozen`] loads it straight
-    /// into a [`hopi_core::FrozenCover`] for pure read-only serving. A
+    /// Persists the index as a frozen CSR blob — the serving layout:
+    /// sorted `Lin`/`Lout` label rows, from which the inverted holder rows
+    /// are rebuilt on load. [`Hopi::open`] thaws it without re-sorting, and
+    /// [`hopi_store::load_frozen`] loads it straight into a
+    /// [`hopi_core::FrozenCover`] for pure read-only serving. A
     /// distance-aware engine freezes the distance cover (annotations
     /// included), so distance queries survive the round trip.
-    pub fn save_frozen(&self, path: &Path) -> Result<(), HopiError> {
+    pub fn save(&self, path: &Path) -> Result<(), HopiError> {
         save_frozen(&self.freeze(), path)?;
         Ok(())
     }
 
     /// The engine's cover in the frozen serving layout (distance
     /// annotations included for a distance-aware engine) — what
-    /// [`Hopi::save_frozen`] persists and what a durable checkpoint
-    /// stores.
+    /// [`Hopi::save`] persists and what a durable checkpoint stores.
     pub(crate) fn freeze(&self) -> hopi_core::FrozenCover {
         match &self.distance {
             Some(cover) => hopi_core::FrozenCover::from_distance_cover(cover),

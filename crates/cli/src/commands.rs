@@ -260,12 +260,11 @@ fn builder_for_mode(mode: &str) -> Result<HopiBuilder, String> {
     }
 }
 
-/// `hopi build --dir DIR --out FILE [--mode default|flat|old] [--frozen]`
+/// `hopi build --dir DIR --out FILE [--mode default|flat|old]`
 pub fn build(args: &[String]) -> Result<(), String> {
     let dir = flag_value(args, "--dir").ok_or("missing --dir DIR")?;
     let out = flag_value(args, "--out").ok_or("missing --out FILE")?;
     let mode = flag_value(args, "--mode").unwrap_or_else(|| "default".into());
-    let frozen = args.iter().any(|a| a == "--frozen");
     let collection = load_dir(&dir)?;
     let t = Instant::now();
     let hopi = builder_for_mode(&mode)?
@@ -277,15 +276,9 @@ pub fn build(args: &[String]) -> Result<(), String> {
         hopi.report().cover_size,
         t.elapsed()
     );
-    if frozen {
-        hopi.save_frozen(Path::new(&out))
-            .map_err(|e| format!("save failed: {e}"))?;
-        println!("persisted frozen CSR cover to {out}");
-    } else {
-        hopi.save(Path::new(&out))
-            .map_err(|e| format!("save failed: {e}"))?;
-        println!("persisted LIN/LOUT tables to {out}");
-    }
+    hopi.save(Path::new(&out))
+        .map_err(|e| format!("save failed: {e}"))?;
+    println!("persisted frozen CSR cover to {out}");
     Ok(())
 }
 

@@ -3,7 +3,7 @@
 //! ```text
 //! hopi gen   --kind dblp|inex --scale 0.01 --out DIR     generate a sample collection
 //! hopi stats --dir DIR                                    Table-1 style statistics
-//! hopi build --dir DIR --out FILE [--mode default|flat|old] [--frozen]
+//! hopi build --dir DIR --out FILE [--mode default|flat|old]
 //! hopi query --dir DIR --index FILE [--explain | --ranked [--k N]] EXPR
 //!                                                         evaluate a path expression
 //! hopi check --dir DIR --index FILE [--samples N]         verify index vs BFS oracle
@@ -59,9 +59,8 @@ USAGE:
                                                     (degraded/read-only, WAL health)
   hopi stats --slow [--addr HOST:PORT]              a running server's slow-query log
                                                     (trace ids + per-stage breakdowns)
-  hopi build --dir DIR --out FILE [--mode default|flat|old] [--frozen]
+  hopi build --dir DIR --out FILE [--mode default|flat|old]
                                                     build and persist the index
-                                                    (--frozen: CSR serving blob)
   hopi query --dir DIR --index FILE [--explain | --ranked [--k N]] EXPR
                                                     evaluate a path expression, e.g.
                                                     \"//article//sec[contains(., \\\"xml\\\")]\"

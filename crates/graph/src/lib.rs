@@ -6,8 +6,6 @@
 //! * [`DiGraph`] — a mutable directed graph over dense `u32` node ids with
 //!   predecessor and successor adjacency, supporting node/edge insertion and
 //!   removal (needed for incremental index maintenance, paper §6).
-//! * [`Csr`] — an immutable compressed-sparse-row snapshot for cache-friendly
-//!   traversal during bulk index construction (paper §4).
 //! * [`FixedBitSet`] — the bit-set used to materialize transitive-closure
 //!   rows; the paper's new partitioner (§4.3) grows partitions while the
 //!   in-memory closure still fits a budget, which we track via
@@ -20,7 +18,6 @@
 //! * [`scc`] — Tarjan strongly-connected components and condensation; link
 //!   cycles between XML documents are legal, so the index machinery must not
 //!   assume a DAG.
-//! * [`topo`] — topological sorting of DAGs (used by tests and generators).
 //!
 //! All structures are deliberately index-based (`u32` node ids) rather than
 //! pointer-based: the HOPI cover-construction inner loops iterate over
@@ -32,15 +29,11 @@
 
 pub mod bitset;
 pub mod closure;
-pub mod csr;
 pub mod digraph;
 pub mod scc;
-pub mod topo;
 pub mod traversal;
 
 pub use bitset::FixedBitSet;
 pub use closure::{DistanceClosure, TransitiveClosure};
-pub use csr::Csr;
 pub use digraph::{DiGraph, EdgeInsert, NodeId};
 pub use scc::{condensation, tarjan_scc, Condensation};
-pub use topo::{topo_sort, TopoError};

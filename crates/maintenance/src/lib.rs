@@ -22,9 +22,10 @@
 //! * [`rebuild`] — degradation tracking and occasional full rebuilds with
 //!   the efficient §4 pipeline ("over time, the space efficiency … may
 //!   degrade").
-//! * [`online`] — 24×7 operation (paper §1.1): concurrent queries, brief
-//!   write-locked incremental updates, and background rebuilds with atomic
-//!   swap that never interrupt query service.
+//! * [`online`] — the catch-up vocabulary of 24×7 operation (paper §1.1):
+//!   the updates a background rebuild replays before its swap, and the
+//!   check that the replay reproduces the live collection exactly. The
+//!   concurrent serving wrapper itself is `hopi_build::OnlineHopi`.
 //!
 //! All operations keep the [`hopi_xml::Collection`] and the
 //! [`hopi_core::HopiIndex`] in sync and preserve the exactness invariant
@@ -46,7 +47,5 @@ pub use insert::{
     integrate_document_distance, DocumentLinks, LinkError,
 };
 pub use modify::modify_document;
-pub use online::{
-    apply_update, collection_delta, delta_replays_exactly, CollectionUpdate, OnlineIndex,
-};
+pub use online::{collection_delta, delta_replays_exactly, CollectionUpdate};
 pub use rebuild::{degradation, rebuild, should_rebuild, Degradation, RebuildPolicy};

@@ -21,8 +21,6 @@
 //! * [`plan`] — the cost-based per-step planner behind those strategies,
 //!   plus EXPLAIN reports and the shared per-strategy execution counters
 //!   the serving layer exposes.
-//! * [`witness`] — EXPLAIN-style witness-path reconstruction for index
-//!   answers (and an index-vs-BFS cross-check).
 //! * [`ranking`] — distance-ranked evaluation against a
 //!   [`hopi_core::DistanceCover`], scoring results XXL-style by link
 //!   distance (paper §5.1: "a path where an author element is found far
@@ -37,7 +35,6 @@ pub mod expr;
 pub mod plan;
 pub mod ranking;
 pub mod tag_index;
-pub mod witness;
 
 pub use eval::{
     evaluate, evaluate_explained, evaluate_explained_with_text, evaluate_with, evaluate_with_text,
@@ -50,4 +47,3 @@ pub use plan::{
 };
 pub use ranking::{evaluate_ranked, evaluate_ranked_with_text, RankedMatch};
 pub use tag_index::TagIndex;
-pub use witness::{verify_connection, witness_path, WitnessPath};

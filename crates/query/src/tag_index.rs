@@ -40,16 +40,6 @@ impl TagIndex {
         self.by_tag.get(tag).map_or(&[], Vec::as_slice)
     }
 
-    /// Does any element carry this tag?
-    pub fn contains_tag(&self, tag: &str) -> bool {
-        self.by_tag.contains_key(tag)
-    }
-
-    /// Number of distinct tags.
-    pub fn tag_count(&self) -> usize {
-        self.by_tag.len()
-    }
-
     /// Total number of indexed elements.
     pub fn element_count(&self) -> usize {
         self.total
@@ -85,7 +75,6 @@ mod tests {
         assert_eq!(idx.elements("author"), &[2, 4]);
         assert_eq!(idx.elements("title"), &[1]);
         assert!(idx.elements("nothing").is_empty());
-        assert_eq!(idx.tag_count(), 3);
         assert_eq!(idx.element_count(), 5);
     }
 
@@ -94,7 +83,7 @@ mod tests {
         let idx = TagIndex::build(&collection());
         assert!(idx.has_tag(0, "book"));
         assert!(!idx.has_tag(0, "author"));
-        assert!(idx.contains_tag("title"));
+        assert!(idx.has_tag(1, "title"));
     }
 
     #[test]

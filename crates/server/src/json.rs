@@ -489,12 +489,6 @@ impl JsonWriter {
         let _ = write!(self.out, "{value}");
     }
 
-    /// String array item.
-    pub fn item_str(&mut self, value: &str) {
-        self.comma();
-        self.push_escaped(value);
-    }
-
     /// The finished document.
     pub fn finish(self) -> String {
         debug_assert!(self.stack.is_empty(), "unclosed JSON scopes");

@@ -615,22 +615,13 @@ fn admin_save(state: &AppState, req: &Request) -> Response {
         Err(e) => return Response::error(400, &e.to_string()),
     };
     let Some(path) = parsed.get("path").and_then(Json::as_str) else {
-        return Response::error(400, "body must be {\"path\": \"...\", \"frozen\": bool?}");
+        return Response::error(400, "body must be {\"path\": \"...\"}");
     };
-    let frozen = parsed.get("frozen").and_then(Json::as_bool).unwrap_or(true);
-    let saved = state.engine.read(|h| {
-        if frozen {
-            h.save_frozen(std::path::Path::new(path))
-        } else {
-            h.save(std::path::Path::new(path))
-        }
-    });
-    match saved {
+    match state.engine.read(|h| h.save(std::path::Path::new(path))) {
         Ok(()) => {
             let mut w = JsonWriter::new();
             w.obj();
             w.field_str("saved", path);
-            w.field_bool("frozen", frozen);
             w.field_u64("epoch", state.engine.epoch());
             w.close_obj();
             Response::json(w.finish())

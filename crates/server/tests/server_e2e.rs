@@ -231,6 +231,7 @@ fn mutations_publish_fresh_epochs_visible_to_reads() {
 
     let save_path =
         std::env::temp_dir().join(format!("hopi_server_save_{}.idx", std::process::id()));
+    // Older clients still send `frozen`; the field is ignored.
     let body = format!(r#"{{"path":"{}","frozen":true}}"#, save_path.display());
     let resp = c.request("POST", "/admin/save", &body).unwrap();
     assert_eq!(resp.status, 200, "{}", resp.body);

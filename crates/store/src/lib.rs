@@ -17,17 +17,15 @@
 //! ```
 //!
 //! and the distance lookup replaces `COUNT(*)` with
-//! `MIN(LOUT.DIST + LIN.DIST)` (§5.1). This crate reproduces the same
-//! physical design in an embedded engine: [`table::IndexOrganizedTable`]
-//! keeps rows clustered in forward-index order with a backward permutation
-//! index (doubling storage exactly as the paper notes), and
-//! [`engine::LinLoutStore`] executes the paper's queries — including the
-//! "simple additional queries" that compensate for the unstored self
-//! labels. [`persist`] serializes the tables to a compact binary file —
-//! either as rows ([`save_store`]) or as a single length-prefixed CSR blob
-//! of a frozen cover ([`save_frozen`]), the serving layout that loads with
-//! no re-sorting; [`load_index`] auto-detects the layout. All index files
-//! are written crash-atomically (temp file + fsync + rename + directory
+//! `MIN(LOUT.DIST + LIN.DIST)` (§5.1). A frozen cover
+//! ([`hopi_core::FrozenCover`]) already is that physical design: its
+//! sorted `Lin`/`Lout` label rows are the forward indexes and its inverted
+//! holder rows the backward ones, and it answers both queries by
+//! intersecting a `Lout` row with a `Lin` row. [`persist`] writes it to disk as a single
+//! length-prefixed CSR blob ([`save_frozen`]), the serving layout that
+//! loads with no re-sorting; [`load_index`] also reads the LIN/LOUT row
+//! files of earlier releases, straight into a frozen cover. All files are
+//! written crash-atomically (temp file + fsync + rename + directory
 //! fsync). [`wal`] adds the durable write path: a length-prefixed,
 //! checksummed write-ahead log of collection mutations with group commit,
 //! paired with atomic checkpoints ([`save_checkpoint`]) that snapshot
@@ -39,19 +37,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
 pub mod persist;
-pub mod table;
 pub mod vfs;
 pub mod wal;
 
-pub use engine::LinLoutStore;
 pub use persist::{
     atomic_write_file, atomic_write_file_in, load_checkpoint, load_checkpoint_in, load_frozen,
-    load_index, load_index_in, load_store, save_checkpoint, save_checkpoint_in, save_frozen,
-    save_frozen_in, save_store, save_store_in, sync_parent_dir, sync_parent_dir_in, Checkpoint,
-    PersistError, StoredIndex, STORE_FORMAT_VERSION,
+    load_index, save_checkpoint, save_checkpoint_in, save_frozen, sync_parent_dir,
+    sync_parent_dir_in, Checkpoint, PersistError, STORE_FORMAT_VERSION,
 };
-pub use table::IndexOrganizedTable;
 pub use vfs::{FaultKind, FaultOp, FaultOpKind, FaultVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{SyncPolicy, Wal, WalMetrics, WalRecord};

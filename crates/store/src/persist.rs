@@ -1,19 +1,16 @@
-//! Binary persistence of the LIN/LOUT tables and of frozen CSR covers.
+//! Binary persistence of frozen CSR covers and durable checkpoints.
 //!
-//! Row format (little-endian; written by [`save_store`]):
+//! Every file starts with the same 12-byte prefix (little-endian):
 //!
 //! ```text
 //! magic   4 bytes  "HOPI"
 //! version u32      3 (2 and 1 accepted on load)
-//! flags   u32      bit 0: DIST column present; bit 1 clear (row layout)
-//! lin_len u64      row count of LIN
-//! lout_len u64     row count of LOUT
-//! rows             (id: u32, other: u32 [, dist: u32]) × (lin_len + lout_len)
+//! flags   u32      bit 0: DIST column present; bit 1: frozen CSR layout;
+//!                  bit 2: checkpoint (see [`save_checkpoint`])
 //! ```
 //!
-//! Frozen format (introduced in version 2; written by [`save_frozen`],
-//! flags bit 1 set): the same 12-byte `magic`/`version`/`flags` prefix
-//! followed by one length-prefixed CSR blob —
+//! Index files (written by [`save_frozen`], flags bit 1 set) continue
+//! with one length-prefixed CSR blob of a frozen cover:
 //!
 //! ```text
 //! n        u64     node slots
@@ -24,15 +21,24 @@
 //! dist     u32 × data_len  only when flags bit 0 (DIST) is set
 //! ```
 //!
-//! Backward/inverted indexes are rebuilt on load in both formats — they
-//! are derived data, and rebuilding keeps the file at half the in-memory
-//! footprint (mirroring the paper's observation that the backward index
-//! doubles the stored size). Loading a frozen blob never sorts: rows are
-//! stored sorted and the inverted sections are reconstructed by counting,
-//! so [`load_frozen`] is ready to serve straight away.
+//! Row files (flags bit 1 clear) are read only: earlier releases wrote
+//! the paper's LIN/LOUT tables (§3.4) from `Hopi::save`, and
+//! [`load_index`] still decodes them, straight into a [`FrozenCover`]:
+//!
+//! ```text
+//! lin_len  u64     row count of LIN
+//! lout_len u64     row count of LOUT
+//! rows             (id: u32, center: u32 [, dist: u32]) × (lin_len + lout_len),
+//!                  each table sorted by (id, center)
+//! ```
+//!
+//! The inverted holder rows — the paper's backward indexes — are derived
+//! data and are rebuilt on load by counting, which keeps the file at half
+//! the in-memory footprint (mirroring the paper's observation that the
+//! backward index doubles the stored size). Loading a frozen blob never
+//! sorts: rows are stored sorted, so [`load_frozen`] is ready to serve
+//! straight away.
 
-use crate::engine::LinLoutStore;
-use crate::table::{IndexOrganizedTable, Row};
 use crate::vfs::{StdVfs, Vfs};
 use hopi_core::FrozenCover;
 use std::path::Path;
@@ -177,72 +183,10 @@ impl From<std::io::Error> for PersistError {
     }
 }
 
-/// Serializes a store to `path`.
-pub fn save_store(store: &LinLoutStore, path: &Path) -> Result<(), PersistError> {
-    save_store_in(&StdVfs, store, path)
-}
-
-/// [`save_store`] through an explicit VFS backend.
-pub fn save_store_in(vfs: &dyn Vfs, store: &LinLoutStore, path: &Path) -> Result<(), PersistError> {
-    let with_dist = store.lin().with_dist() || store.lout().with_dist();
-    let per_row = if with_dist { 12 } else { 8 };
-    let mut buf: Vec<u8> = Vec::with_capacity(28 + per_row * store.entry_count());
-    buf.extend_from_slice(MAGIC);
-    buf.extend_from_slice(&VERSION.to_le_bytes());
-    buf.extend_from_slice(&u32::from(with_dist).to_le_bytes());
-    buf.extend_from_slice(&(store.lin().len() as u64).to_le_bytes());
-    buf.extend_from_slice(&(store.lout().len() as u64).to_le_bytes());
-    for table in [store.lin(), store.lout()] {
-        for r in table.rows() {
-            buf.extend_from_slice(&r.id.to_le_bytes());
-            buf.extend_from_slice(&r.other.to_le_bytes());
-            if with_dist {
-                buf.extend_from_slice(&r.dist.to_le_bytes());
-            }
-        }
-    }
-    atomic_write_file_in(vfs, path, &buf)?;
-    Ok(())
-}
-
-/// A loaded index file: either the LIN/LOUT row tables or a frozen CSR
-/// cover (see [`load_index`]).
-pub enum StoredIndex {
-    /// Row layout ([`save_store`]).
-    Rows(LinLoutStore),
-    /// Frozen CSR layout ([`save_frozen`]).
-    Frozen(FrozenCover),
-}
-
-/// Loads either index layout, detecting the format from the header. Use
-/// this when the caller accepts both (e.g. `Hopi::open`).
-pub fn load_index(path: &Path) -> Result<StoredIndex, PersistError> {
-    load_index_in(&StdVfs, path)
-}
-
-/// [`load_index`] through an explicit VFS backend.
-pub fn load_index_in(vfs: &dyn Vfs, path: &Path) -> Result<StoredIndex, PersistError> {
-    let raw = vfs.read(path)?;
-    if raw.len() >= 12 && &raw[..4] == MAGIC {
-        let flags = u32::from_le_bytes([raw[8], raw[9], raw[10], raw[11]]);
-        if flags & FLAG_CHECKPOINT != 0 {
-            return Err(PersistError::Format(
-                "file is a durable checkpoint; load it with load_checkpoint".into(),
-            ));
-        }
-        if flags & FLAG_FROZEN != 0 {
-            return decode_frozen(&raw).map(StoredIndex::Frozen);
-        }
-    }
-    decode_store(&raw).map(StoredIndex::Rows)
-}
-
-/// Loads a store from `path`, rebuilding the backward indexes.
-pub fn load_store(path: &Path) -> Result<LinLoutStore, PersistError> {
-    decode_store(&StdVfs.read(path)?)
-}
-
-fn decode_store(raw: &[u8]) -> Result<LinLoutStore, PersistError> {
+/// Parses the 12-byte prefix shared by every file: magic, a version this
+/// build reads, and the flags. 28 bytes is the shortest header of any
+/// layout.
+fn read_header(raw: &[u8]) -> Result<(Cursor<'_>, u32, u32), PersistError> {
     let mut buf = Cursor::new(raw);
     if buf.remaining() < 28 {
         return Err(PersistError::Format("truncated header".into()));
@@ -253,64 +197,17 @@ fn decode_store(raw: &[u8]) -> Result<LinLoutStore, PersistError> {
         return Err(PersistError::Format("bad magic".into()));
     }
     let version = buf.get_u32_le();
-    if version != VERSION && version != VERSION_NO_TEXT && version != VERSION_ROWS_ONLY {
+    if !(VERSION_ROWS_ONLY..=VERSION).contains(&version) {
         return Err(PersistError::Version(version));
     }
     let flags = buf.get_u32_le();
-    if flags & FLAG_CHECKPOINT != 0 {
-        return Err(PersistError::Format(
-            "file is a durable checkpoint; load it with load_checkpoint".into(),
-        ));
-    }
-    if flags & FLAG_FROZEN != 0 {
-        return Err(PersistError::Format(
-            "file holds a frozen CSR cover; load it with load_frozen / load_index".into(),
-        ));
-    }
-    let with_dist = flags & FLAG_DIST != 0;
-    let lin_len = buf.get_u64_le() as usize;
-    let lout_len = buf.get_u64_le() as usize;
-    let per_row = if with_dist { 12 } else { 8 };
-    let expected = lin_len
-        .checked_add(lout_len)
-        .and_then(|rows| rows.checked_mul(per_row))
-        .ok_or_else(|| PersistError::Format("row count overflows".into()))?;
-    if buf.remaining() != expected {
-        return Err(PersistError::Format(format!(
-            "expected {expected} row bytes, found {}",
-            buf.remaining()
-        )));
-    }
-    let read_rows = |n: usize, buf: &mut Cursor<'_>| -> Vec<Row> {
-        (0..n)
-            .map(|_| Row {
-                id: buf.get_u32_le(),
-                other: buf.get_u32_le(),
-                dist: if with_dist { buf.get_u32_le() } else { 0 },
-            })
-            .collect()
-    };
-    let lin_rows = read_rows(lin_len, &mut buf);
-    let lout_rows = read_rows(lout_len, &mut buf);
-    Ok(LinLoutStore::from_tables(
-        IndexOrganizedTable::new(lin_rows, with_dist),
-        IndexOrganizedTable::new(lout_rows, with_dist),
-    ))
+    Ok((buf, version, flags))
 }
 
 /// Serializes a frozen cover to `path` as a single length-prefixed CSR
 /// blob (header flags bit 1 set; bit 0 when distance annotations are
-/// stored). Loading it back with [`load_frozen`] involves no sorting.
+/// stored), crash-atomically. Loading it back involves no sorting.
 pub fn save_frozen(frozen: &FrozenCover, path: &Path) -> Result<(), PersistError> {
-    save_frozen_in(&StdVfs, frozen, path)
-}
-
-/// [`save_frozen`] through an explicit VFS backend.
-pub fn save_frozen_in(
-    vfs: &dyn Vfs,
-    frozen: &FrozenCover,
-    path: &Path,
-) -> Result<(), PersistError> {
     let dists = frozen.label_dists();
     let flags = FLAG_FROZEN | if dists.is_some() { FLAG_DIST } else { 0 };
     let mut buf: Vec<u8> = Vec::with_capacity(28);
@@ -318,7 +215,7 @@ pub fn save_frozen_in(
     buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.extend_from_slice(&flags.to_le_bytes());
     encode_frozen_payload(frozen, &mut buf);
-    atomic_write_file_in(vfs, path, &buf)?;
+    atomic_write_file(path, &buf)?;
     Ok(())
 }
 
@@ -346,38 +243,102 @@ fn encode_frozen_payload(frozen: &FrozenCover, buf: &mut Vec<u8>) {
     }
 }
 
-/// Loads a frozen cover persisted with [`save_frozen`], rebuilding the
-/// inverted sections by counting (no sorting anywhere on the load path).
-pub fn load_frozen(path: &Path) -> Result<FrozenCover, PersistError> {
-    decode_frozen(&StdVfs.read(path)?)
+/// Loads an index file of either layout: a frozen CSR blob, or a row
+/// file written by an earlier release. Row files carry no node count, so
+/// every id and center in them must lie below `id_bound` — the element-id
+/// bound of the collection the index belongs to — and is checked before
+/// anything is sized by it. Frozen blobs are bounded by their own length.
+pub fn load_index(path: &Path, id_bound: usize) -> Result<FrozenCover, PersistError> {
+    decode_index(&StdVfs.read(path)?, Some(id_bound))
 }
 
-fn decode_frozen(raw: &[u8]) -> Result<FrozenCover, PersistError> {
-    let mut buf = Cursor::new(raw);
-    if buf.remaining() < 28 {
-        return Err(PersistError::Format("truncated header".into()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(PersistError::Format("bad magic".into()));
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION && version != VERSION_NO_TEXT {
-        return Err(PersistError::Version(version));
-    }
-    let flags = buf.get_u32_le();
+/// Loads a frozen cover persisted with [`save_frozen`], rebuilding the
+/// inverted sections by counting (no sorting anywhere on the load path).
+/// Row files are refused: they need the id bound [`load_index`] takes.
+pub fn load_frozen(path: &Path) -> Result<FrozenCover, PersistError> {
+    decode_index(&StdVfs.read(path)?, None)
+}
+
+fn decode_index(raw: &[u8], id_bound: Option<usize>) -> Result<FrozenCover, PersistError> {
+    let (mut buf, version, flags) = read_header(raw)?;
     if flags & FLAG_CHECKPOINT != 0 {
         return Err(PersistError::Format(
             "file is a durable checkpoint; load it with load_checkpoint".into(),
         ));
     }
-    if flags & FLAG_FROZEN == 0 {
-        return Err(PersistError::Format(
-            "file holds LIN/LOUT rows; load it with load_store / load_index".into(),
-        ));
+    let with_dist = flags & FLAG_DIST != 0;
+    match (flags & FLAG_FROZEN != 0, id_bound) {
+        (true, _) if version == VERSION_ROWS_ONLY => Err(PersistError::Version(version)),
+        (true, _) => decode_frozen_payload(&mut buf, with_dist),
+        (false, Some(bound)) => decode_rows(&mut buf, with_dist, bound),
+        (false, None) => Err(PersistError::Format(
+            "file holds LIN/LOUT rows; load it with load_index".into(),
+        )),
     }
-    decode_frozen_payload(&mut buf, flags & FLAG_DIST != 0)
+}
+
+/// Decodes the row-layout body into a [`FrozenCover`], which validates
+/// the rows as it does any CSR blob. Ids and centers at or beyond
+/// `id_bound` are refused before the offset tables are sized.
+fn decode_rows(
+    buf: &mut Cursor<'_>,
+    with_dist: bool,
+    id_bound: usize,
+) -> Result<FrozenCover, PersistError> {
+    let lin_len = buf.get_u64_le() as usize;
+    let lout_len = buf.get_u64_le() as usize;
+    let per_row = if with_dist { 12 } else { 8 };
+    // Capping the count keeps every offset below `u32::MAX`.
+    let count = lin_len
+        .checked_add(lout_len)
+        .filter(|&rows| rows <= FrozenCover::MAX_LABEL_ENTRIES)
+        .ok_or_else(|| PersistError::Format("row count overflows".into()))?;
+    let expected = count
+        .checked_mul(per_row)
+        .ok_or_else(|| PersistError::Format("row count overflows".into()))?;
+    if buf.remaining() != expected {
+        return Err(PersistError::Format(format!(
+            "expected {expected} row bytes, found {}",
+            buf.remaining()
+        )));
+    }
+    // `(id, center, dist)`; the count is bounded by the file length.
+    let mut rows: Vec<(u32, u32, u32)> = Vec::with_capacity(count);
+    let mut n = 0;
+    for _ in 0..count {
+        let (id, center) = (buf.get_u32_le(), buf.get_u32_le());
+        let dist = if with_dist { buf.get_u32_le() } else { 0 };
+        let top = id.max(center) as usize;
+        if top >= id_bound {
+            return Err(PersistError::Format(format!(
+                "row ({id}, {center}) is outside the collection's {id_bound} element ids"
+            )));
+        }
+        n = n.max(top + 1);
+        rows.push((id, center, dist));
+    }
+    let (lin, lout) = rows.split_at(lin_len);
+    for table in [lin, lout] {
+        if table
+            .iter()
+            .zip(table.iter().skip(1))
+            .any(|(a, b)| (a.0, a.1) >= (b.0, b.1))
+        {
+            return Err(PersistError::Format(
+                "rows must be strictly sorted by (id, center)".into(),
+            ));
+        }
+    }
+    let offsets = |table: &[(u32, u32, u32)], base: usize| -> Vec<u32> {
+        (0..=n)
+            .map(|v| (base + table.partition_point(|r| (r.0 as usize) < v)) as u32)
+            .collect()
+    };
+    let (lin_off, lout_off) = (offsets(lin, 0), offsets(lout, lin_len));
+    let labels = rows.iter().map(|r| r.1).collect();
+    let dist = with_dist.then(|| rows.iter().map(|r| r.2).collect());
+    FrozenCover::from_label_csr(lin_off, lout_off, labels, dist)
+        .map_err(|e| PersistError::Format(format!("invalid rows: {e}")))
 }
 
 /// Reads the frozen CSR payload section, which must consume the rest of
@@ -441,7 +402,7 @@ pub struct Checkpoint {
 /// seq      u64      WAL sequence number covered
 /// coll_len u64      collection blob length
 /// coll     bytes    hopi_xml::codec::encode_collection
-/// csr      …        frozen CSR payload (same section as save_frozen)
+/// csr      …        frozen CSR payload (same section as an index file)
 /// ```
 pub fn save_checkpoint(
     path: &Path,
@@ -488,20 +449,10 @@ pub fn load_checkpoint(path: &Path) -> Result<Checkpoint, PersistError> {
 /// [`load_checkpoint`] through an explicit VFS backend.
 pub fn load_checkpoint_in(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, PersistError> {
     let raw = vfs.read(path)?;
-    let mut buf = Cursor::new(&raw);
-    if buf.remaining() < 28 {
-        return Err(PersistError::Format("truncated checkpoint header".into()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(PersistError::Format("bad magic".into()));
-    }
-    let version = buf.get_u32_le();
-    if version != VERSION && version != VERSION_NO_TEXT {
+    let (mut buf, version, flags) = read_header(&raw)?;
+    if version == VERSION_ROWS_ONLY {
         return Err(PersistError::Version(version));
     }
-    let flags = buf.get_u32_le();
     if flags & FLAG_CHECKPOINT == 0 {
         return Err(PersistError::Format(
             "file is not a checkpoint; load it with load_index".into(),
@@ -518,8 +469,9 @@ pub fn load_checkpoint_in(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, Pers
     buf.copy_to_slice(&mut coll_bytes);
     // Pre-text checkpoints (version 2) carry collection blobs without the
     // element-text section; text decodes as empty there.
-    let collection = hopi_xml::codec::decode_collection_versioned(&coll_bytes, version >= VERSION)
-        .map_err(|e| PersistError::Format(e.to_string()))?;
+    let collection =
+        hopi_xml::codec::decode_collection_versioned(&coll_bytes, version > VERSION_NO_TEXT)
+            .map_err(|e| PersistError::Format(e.to_string()))?;
     let frozen = decode_frozen_payload(&mut buf, flags & FLAG_DIST != 0)?;
     Ok(Checkpoint {
         collection,
@@ -531,7 +483,7 @@ pub fn load_checkpoint_in(vfs: &dyn Vfs, path: &Path) -> Result<Checkpoint, Pers
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hopi_core::{CoverBuilder, DistanceCoverBuilder};
+    use hopi_core::{CoverBuilder, DistanceCoverBuilder, TwoHopCover};
     use hopi_graph::{DiGraph, DistanceClosure, TransitiveClosure};
 
     fn sample_graph() -> DiGraph {
@@ -542,46 +494,36 @@ mod tests {
         g
     }
 
-    #[test]
-    fn roundtrip_plain() {
-        let g = sample_graph();
-        let tc = TransitiveClosure::from_graph(&g);
-        let cover = CoverBuilder::new(&tc).build();
-        let store = LinLoutStore::from_cover(&cover);
-        let dir = std::env::temp_dir().join("hopi_persist_plain.idx");
-        save_store(&store, &dir).unwrap();
-        let loaded = load_store(&dir).unwrap();
-        assert_eq!(loaded.entry_count(), store.entry_count());
-        for u in 0..5 {
-            for v in 0..5 {
-                assert_eq!(loaded.connected(u, v), store.connected(u, v));
-            }
-        }
-        std::fs::remove_file(dir).ok();
+    fn sample_cover() -> TwoHopCover {
+        CoverBuilder::new(&TransitiveClosure::from_graph(&sample_graph())).build()
     }
 
-    #[test]
-    fn roundtrip_distance() {
-        let g = sample_graph();
-        let dc = DistanceClosure::from_graph(&g);
-        let cover = DistanceCoverBuilder::new(&dc).build();
-        let store = LinLoutStore::from_distance_cover(&cover);
-        let dir = std::env::temp_dir().join("hopi_persist_dist.idx");
-        save_store(&store, &dir).unwrap();
-        let loaded = load_store(&dir).unwrap();
-        for u in 0..5 {
-            for v in 0..5 {
-                assert_eq!(loaded.distance(u, v), store.distance(u, v));
-            }
+    /// A row file as earlier releases wrote it: header, then the LIN and
+    /// LOUT rows of `cover` in `(id, center)` order.
+    fn row_file(version: u32, cover: &TwoHopCover) -> Vec<u8> {
+        let frozen = FrozenCover::from_cover(cover);
+        let table = |row: fn(&FrozenCover, u32) -> &[u32]| -> Vec<(u32, u32)> {
+            (0..frozen.num_nodes() as u32)
+                .flat_map(|v| row(&frozen, v).iter().map(move |&c| (v, c)))
+                .collect()
+        };
+        let (lin, lout) = (table(FrozenCover::lin), table(FrozenCover::lout));
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&version.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&(lin.len() as u64).to_le_bytes());
+        buf.extend_from_slice(&(lout.len() as u64).to_le_bytes());
+        for (id, c) in lin.into_iter().chain(lout) {
+            buf.extend_from_slice(&id.to_le_bytes());
+            buf.extend_from_slice(&c.to_le_bytes());
         }
-        std::fs::remove_file(dir).ok();
+        buf
     }
 
     #[test]
     fn roundtrip_frozen() {
-        let g = sample_graph();
-        let tc = TransitiveClosure::from_graph(&g);
-        let cover = CoverBuilder::new(&tc).build();
+        let cover = sample_cover();
         let frozen = FrozenCover::from_cover(&cover);
         let dir = std::env::temp_dir().join("hopi_persist_frozen.idx");
         save_frozen(&frozen, &dir).unwrap();
@@ -593,10 +535,8 @@ mod tests {
             }
             assert_eq!(loaded.descendants(u), cover.descendants(u));
         }
-        // Auto-detection picks the frozen branch.
-        assert!(matches!(load_index(&dir), Ok(StoredIndex::Frozen(_))));
-        // The row loader refuses it with a pointer to the right entry.
-        assert!(matches!(load_store(&dir), Err(PersistError::Format(_))));
+        // The bounded loader reads the same file.
+        assert_eq!(load_index(&dir, 5).unwrap().size(), frozen.size());
         std::fs::remove_file(dir).ok();
     }
 
@@ -619,36 +559,69 @@ mod tests {
     }
 
     #[test]
-    fn frozen_loader_rejects_row_files_and_truncation() {
-        let g = sample_graph();
-        let tc = TransitiveClosure::from_graph(&g);
-        let cover = CoverBuilder::new(&tc).build();
-        let dir = std::env::temp_dir().join("hopi_persist_frozen_neg.idx");
-        save_store(&LinLoutStore::from_cover(&cover), &dir).unwrap();
-        assert!(matches!(load_frozen(&dir), Err(PersistError::Format(_))));
-        assert!(matches!(load_index(&dir), Ok(StoredIndex::Rows(_))));
-        save_frozen(&FrozenCover::from_cover(&cover), &dir).unwrap();
-        let bytes = std::fs::read(&dir).unwrap();
-        std::fs::write(&dir, &bytes[..bytes.len() - 5]).unwrap();
-        assert!(load_frozen(&dir).is_err());
+    fn row_files_load_through_the_bounded_loader_only() {
+        let cover = sample_cover();
+        let dir = std::env::temp_dir().join("hopi_persist_rows.idx");
+        for version in [1, 2, 3] {
+            std::fs::write(&dir, row_file(version, &cover)).unwrap();
+            let loaded = load_index(&dir, 5).unwrap();
+            assert_eq!(loaded.size(), cover.size(), "v{version}");
+            for u in 0..5 {
+                for v in 0..5 {
+                    assert_eq!(loaded.connected(u, v), cover.connected(u, v), "({u},{v})");
+                }
+            }
+            // The unbounded loader refuses rows with a pointer to the
+            // right entry.
+            assert!(matches!(load_frozen(&dir), Err(PersistError::Format(_))));
+        }
         std::fs::remove_file(dir).ok();
     }
 
     #[test]
-    fn loads_version1_row_files() {
-        // Files written before the frozen format (version 1) keep loading.
-        let g = sample_graph();
-        let tc = TransitiveClosure::from_graph(&g);
-        let cover = CoverBuilder::new(&tc).build();
-        let store = LinLoutStore::from_cover(&cover);
-        let dir = std::env::temp_dir().join("hopi_persist_v1.idx");
-        save_store(&store, &dir).unwrap();
-        let mut bytes = std::fs::read(&dir).unwrap();
-        bytes[4..8].copy_from_slice(&1u32.to_le_bytes()); // rewrite version
-        std::fs::write(&dir, &bytes).unwrap();
-        let loaded = load_store(&dir).unwrap();
-        assert_eq!(loaded.entry_count(), store.entry_count());
-        assert!(matches!(load_index(&dir), Ok(StoredIndex::Rows(_))));
+    fn rejects_rows_beyond_the_id_bound_before_allocating() {
+        // One LOUT row naming node 0xFFFF_FFF0: sizing the offset tables
+        // by it would ask for tens of gigabytes.
+        let dir = std::env::temp_dir().join("hopi_persist_rows_bound.idx");
+        let mut buf = Vec::new();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&1u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        buf.extend_from_slice(&0u64.to_le_bytes());
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf.extend_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+        buf.extend_from_slice(&0u32.to_le_bytes());
+        assert_eq!(buf.len(), 36);
+        std::fs::write(&dir, &buf).unwrap();
+        assert!(matches!(load_index(&dir, 5), Err(PersistError::Format(_))));
+        std::fs::remove_file(dir).ok();
+    }
+
+    #[test]
+    fn rejects_unsorted_and_self_rows() {
+        let dir = std::env::temp_dir().join("hopi_persist_rows_bad.idx");
+        let file = |rows: &[(u32, u32)]| {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(MAGIC);
+            buf.extend_from_slice(&VERSION.to_le_bytes());
+            buf.extend_from_slice(&0u32.to_le_bytes());
+            buf.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+            buf.extend_from_slice(&0u64.to_le_bytes());
+            for &(id, c) in rows {
+                buf.extend_from_slice(&id.to_le_bytes());
+                buf.extend_from_slice(&c.to_le_bytes());
+            }
+            buf
+        };
+        for rows in [&[(2, 0), (1, 0)][..], &[(1, 0), (1, 0)], &[(1, 1)]] {
+            std::fs::write(&dir, file(rows)).unwrap();
+            assert!(
+                matches!(load_index(&dir, 5), Err(PersistError::Format(_))),
+                "{rows:?}"
+            );
+        }
+        std::fs::write(&dir, file(&[(1, 0), (2, 0)])).unwrap();
+        assert_eq!(load_index(&dir, 5).unwrap().lin(2), &[0]);
         std::fs::remove_file(dir).ok();
     }
 
@@ -677,10 +650,18 @@ mod tests {
         assert!(ckpt.frozen.connected(0, 2));
         // Every other loader refuses a checkpoint with a pointer to the
         // right entry, and vice versa.
-        assert!(matches!(load_index(&path), Err(PersistError::Format(_))));
-        assert!(matches!(load_store(&path), Err(PersistError::Format(_))));
+        let bound = c.elem_id_bound();
+        assert!(matches!(
+            load_index(&path, bound),
+            Err(PersistError::Format(_))
+        ));
         assert!(matches!(load_frozen(&path), Err(PersistError::Format(_))));
         save_frozen(&frozen, &path).unwrap();
+        assert!(matches!(
+            load_checkpoint(&path),
+            Err(PersistError::Format(_))
+        ));
+        std::fs::write(&path, row_file(VERSION, &cover)).unwrap();
         assert!(matches!(
             load_checkpoint(&path),
             Err(PersistError::Format(_))
@@ -705,21 +686,23 @@ mod tests {
     fn rejects_garbage() {
         let dir = std::env::temp_dir().join("hopi_persist_garbage.idx");
         std::fs::write(&dir, b"not a hopi file at all........").unwrap();
-        assert!(matches!(load_store(&dir), Err(PersistError::Format(_))));
+        assert!(matches!(load_index(&dir, 5), Err(PersistError::Format(_))));
         std::fs::remove_file(dir).ok();
     }
 
     #[test]
     fn rejects_truncation() {
-        let g = sample_graph();
-        let tc = TransitiveClosure::from_graph(&g);
-        let cover = CoverBuilder::new(&tc).build();
-        let store = LinLoutStore::from_cover(&cover);
+        let cover = sample_cover();
         let dir = std::env::temp_dir().join("hopi_persist_trunc.idx");
-        save_store(&store, &dir).unwrap();
+        let rows = row_file(VERSION, &cover);
+        std::fs::write(&dir, &rows[..rows.len() - 3]).unwrap();
+        assert!(load_index(&dir, 5).is_err());
+        save_frozen(&FrozenCover::from_cover(&cover), &dir).unwrap();
         let bytes = std::fs::read(&dir).unwrap();
-        std::fs::write(&dir, &bytes[..bytes.len() - 3]).unwrap();
-        assert!(load_store(&dir).is_err());
+        std::fs::write(&dir, &bytes[..bytes.len() - 5]).unwrap();
+        assert!(load_frozen(&dir).is_err());
+        std::fs::write(&dir, &bytes[..10]).unwrap();
+        assert!(matches!(load_index(&dir, 5), Err(PersistError::Format(_))));
         std::fs::remove_file(dir).ok();
     }
 
@@ -735,7 +718,7 @@ mod tests {
         buf.extend_from_slice(&(1u64 << 61).to_le_bytes()); // lin_len
         buf.extend_from_slice(&(1u64 << 61).to_le_bytes()); // lout_len
         std::fs::write(&dir, &buf).unwrap();
-        assert!(matches!(load_store(&dir), Err(PersistError::Format(_))));
+        assert!(matches!(load_index(&dir, 5), Err(PersistError::Format(_))));
         std::fs::remove_file(dir).ok();
     }
 
@@ -747,7 +730,10 @@ mod tests {
         buf.extend_from_slice(&99u32.to_le_bytes());
         buf.extend_from_slice(&[0u8; 20]);
         std::fs::write(&dir, &buf).unwrap();
-        assert!(matches!(load_store(&dir), Err(PersistError::Version(99))));
+        assert!(matches!(
+            load_index(&dir, 5),
+            Err(PersistError::Version(99))
+        ));
         std::fs::remove_file(dir).ok();
     }
 }

@@ -1,10 +1,13 @@
-//! On-disk format compatibility: files written by the pre-text codec
-//! (store/checkpoint version 2, WAL version 1) must keep loading after
-//! the element-text format bump. The fixtures under `tests/fixtures/`
-//! were generated by the old writer and are committed byte-for-byte —
-//! regenerating them with the current writer would defeat the test.
+//! On-disk format compatibility: every file an earlier release could
+//! write must keep loading — the pre-text codec's files (store/checkpoint
+//! version 2, WAL version 1) and the LIN/LOUT row files (versions 2 and 3,
+//! plain and with the DIST column) that `Hopi::save` wrote before it
+//! switched to the frozen layout. The fixtures under `tests/fixtures/`
+//! were generated by those old writers and are committed byte-for-byte —
+//! no writer for the row layout exists any more, and regenerating the
+//! others with the current writer would defeat the test.
 
-use hopi_store::persist::{load_checkpoint, load_frozen, load_index, load_store, StoredIndex};
+use hopi_store::persist::{load_checkpoint, load_frozen, load_index, PersistError};
 use hopi_store::wal::{Wal, WalRecord};
 use std::path::PathBuf;
 
@@ -30,24 +33,61 @@ fn assert_fixture_reachability(connected: impl Fn(u32, u32) -> bool) {
     }
 }
 
+/// Element-id bound of the fixture graph's collection.
+const ID_BOUND: usize = 5;
+
+/// Loads a row fixture through the bounded loader; row files need the
+/// collection's id bound, so the unbounded frozen loader refuses them.
+fn load_rows(name: &str) -> hopi_core::FrozenCover {
+    assert!(matches!(
+        load_frozen(&fixture(name)),
+        Err(PersistError::Format(_))
+    ));
+    load_index(&fixture(name), ID_BOUND).unwrap_or_else(|e| panic!("{name} must load: {e}"))
+}
+
 #[test]
 fn loads_v2_row_store() {
-    let store = load_store(&fixture("v2_rows.idx")).expect("v2 row file must load");
-    assert_fixture_reachability(|u, v| store.connected(u, v));
-    assert!(matches!(
-        load_index(&fixture("v2_rows.idx")),
-        Ok(StoredIndex::Rows(_))
-    ));
+    let rows = load_rows("v2_rows.idx");
+    assert!(!rows.with_dist());
+    assert_fixture_reachability(|u, v| rows.connected(u, v));
+}
+
+#[test]
+fn loads_v3_row_store() {
+    let rows = load_rows("v3_rows.idx");
+    assert!(!rows.with_dist());
+    assert_fixture_reachability(|u, v| rows.connected(u, v));
+}
+
+#[test]
+fn loads_v3_row_store_with_distances() {
+    let rows = load_rows("v3_rows_dist.idx");
+    assert!(rows.with_dist());
+    assert_fixture_reachability(|u, v| rows.connected(u, v));
+    // Shortest path lengths over (0,1), (1,2), (0,3), (3,2), (2,4).
+    let expect = |u: u32, v: u32| -> Option<u32> {
+        match (u, v) {
+            _ if u == v => Some(0),
+            (0, 1) | (0, 3) | (1, 2) | (3, 2) | (2, 4) => Some(1),
+            (0, 2) | (1, 4) | (3, 4) => Some(2),
+            (0, 4) => Some(3),
+            _ => None,
+        }
+    };
+    for u in 0..5 {
+        for v in 0..5 {
+            assert_eq!(rows.distance(u, v), expect(u, v), "dist({u},{v})");
+        }
+    }
 }
 
 #[test]
 fn loads_v2_frozen_cover() {
     let frozen = load_frozen(&fixture("v2_frozen.idx")).expect("v2 frozen file must load");
     assert_fixture_reachability(|u, v| frozen.connected(u, v));
-    assert!(matches!(
-        load_index(&fixture("v2_frozen.idx")),
-        Ok(StoredIndex::Frozen(_))
-    ));
+    let bounded = load_index(&fixture("v2_frozen.idx"), ID_BOUND).expect("bounded load");
+    assert_fixture_reachability(|u, v| bounded.connected(u, v));
 }
 
 #[test]

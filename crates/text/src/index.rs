@@ -48,11 +48,6 @@ impl Vocabulary {
     pub fn is_empty(&self) -> bool {
         self.terms.is_empty()
     }
-
-    /// Bytes held by the term strings themselves.
-    pub fn term_bytes(&self) -> usize {
-        self.terms.iter().map(|t| t.len()).sum()
-    }
 }
 
 #[derive(Clone, Debug, Default)]

@@ -87,13 +87,13 @@ fn main() -> Result<(), HopiError> {
         stats.elements
     );
 
-    // Persist the cover in the paper's LIN/LOUT table layout and reload.
+    // Persist the cover as a frozen CSR index file and reload it.
     let path = std::env::temp_dir().join("hopi_quickstart.idx");
     hopi.save(&path)?;
     let reloaded = Hopi::open(hopi.collection().clone(), &path)?;
     assert!(reloaded.connected(survey_root, theorem));
     println!(
-        "LIN/LOUT store round-trip: {} entries",
+        "frozen index file round-trip: {} entries",
         reloaded.stats().cover_entries
     );
     std::fs::remove_file(path).ok();

@@ -50,8 +50,8 @@
 //! | [`xml`] | document model, parser, generators, `G_E(X)` / `G_D(X)` |
 //! | [`core`] | 2-hop covers, densest-subgraph machinery, the index handle |
 //! | [`partition`] | partitioners, skeleton graphs, the §3.3/§4 build pipeline |
-//! | [`maintenance`] | insertions, deletions (Thm 2/3), modifications, 24×7 mode |
-//! | [`store`] | LIN/LOUT index-organized tables, SQL-semantics queries |
+//! | [`maintenance`] | insertions, deletions (Thm 2/3), modifications, rebuild catch-up |
+//! | [`store`] | frozen CSR index files (older LIN/LOUT row files load), checkpoints, WAL |
 //! | [`query`] | path expressions with wildcards, distance-ranked retrieval |
 //! | [`server`] | std-only HTTP/1.1 serving over snapshot epochs (`hopi serve`) |
 //!
@@ -93,6 +93,5 @@ pub mod prelude {
     // alongside `proptest::prelude::*` (which exports a `Strategy` trait)
     // would make the name ambiguous. Reach it as `hopi::Strategy`.
     pub use hopi_query::{EvalOptions, PlanCounts, QueryPlanReport, RankedMatch};
-    pub use hopi_store::LinLoutStore;
     pub use hopi_xml::{Collection, CollectionStats, DocId, ElemId, Link, XmlDocument};
 }

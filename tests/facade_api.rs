@@ -512,9 +512,9 @@ fn online_reads_are_served_from_refreshed_snapshots() {
 fn save_frozen_open_round_trips() {
     let hopi = library();
     let path = std::env::temp_dir().join(format!("hopi_facade_frozen_{}.idx", std::process::id()));
-    hopi.save_frozen(&path).unwrap();
+    hopi.save(&path).unwrap();
 
-    // Facade open auto-detects the frozen layout and thaws it.
+    // Facade open thaws the frozen layout `save` writes.
     let reopened = Hopi::open(hopi.collection().clone(), &path).unwrap();
     let n = hopi.collection().elem_id_bound() as u32;
     for u in 0..n {
@@ -530,34 +530,6 @@ fn save_frozen_open_round_trips() {
     for u in 0..n {
         for v in 0..n {
             assert_eq!(frozen.connected(u, v), hopi.connected(u, v));
-        }
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn save_frozen_distance_round_trips() {
-    let hopi = Hopi::builder()
-        .distance_aware(true)
-        .parse([
-            ("a", r#"<r><cite xlink:href="b"/></r>"#),
-            ("b", r#"<r><s/></r>"#),
-        ])
-        .unwrap();
-    let path = std::env::temp_dir().join(format!(
-        "hopi_facade_frozen_dist_{}.idx",
-        std::process::id()
-    ));
-    hopi.save_frozen(&path).unwrap();
-    let reopened = Hopi::open(hopi.collection().clone(), &path).unwrap();
-    let n = hopi.collection().elem_id_bound() as u32;
-    for u in 0..n {
-        for v in 0..n {
-            assert_eq!(
-                reopened.distance(u, v).unwrap(),
-                hopi.distance(u, v).unwrap(),
-                "dist({u},{v})"
-            );
         }
     }
     std::fs::remove_file(&path).ok();
@@ -609,6 +581,15 @@ fn save_open_round_trips_distance_and_config() {
         }
     }
 
+    // The read-only path loads the distance annotations with no thaw.
+    let frozen = hopi::store::load_frozen(&path).unwrap();
+    assert!(frozen.with_dist());
+    for u in 0..n {
+        for v in 0..n {
+            assert_eq!(frozen.distance(u, v), hopi.distance(u, v).unwrap());
+        }
+    }
+
     // Builder-based open keeps the chosen build configuration.
     let tuned = Hopi::builder()
         .partitioner(PartitionerChoice::Flat)
@@ -621,4 +602,170 @@ fn save_open_round_trips_distance_and_config() {
     ));
     assert_eq!(tuned.query_options().probe_budget, 7);
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn crafted_row_file_is_a_typed_error() {
+    // A 36-byte row file of the layout earlier releases wrote: header plus
+    // one LOUT row naming node 0xFFFF_FFF0. Sizing the cover by that id
+    // would ask for ~100 GB; the loader must refuse it against the
+    // collection's id bound instead.
+    let hopi = library();
+    let mut bytes = Vec::new();
+    bytes.extend_from_slice(b"HOPI");
+    bytes.extend_from_slice(&1u32.to_le_bytes()); // version 1
+    bytes.extend_from_slice(&0u32.to_le_bytes()); // flags: rows, no DIST
+    bytes.extend_from_slice(&0u64.to_le_bytes()); // LIN rows
+    bytes.extend_from_slice(&1u64.to_le_bytes()); // LOUT rows
+    bytes.extend_from_slice(&0xFFFF_FFF0u32.to_le_bytes());
+    bytes.extend_from_slice(&0u32.to_le_bytes());
+    assert_eq!(bytes.len(), 36);
+    let path = std::env::temp_dir().join(format!("hopi_facade_rows_{}.idx", std::process::id()));
+    std::fs::write(&path, &bytes).unwrap();
+    let err = Hopi::open(hopi.collection().clone(), &path).unwrap_err();
+    std::fs::remove_file(&path).ok();
+    assert!(
+        matches!(
+            err,
+            HopiError::Persist(hopi::store::PersistError::Format(_))
+        ),
+        "{err}"
+    );
+}
+
+/// Checks the engine and its published snapshot against the closure.
+fn online_oracle_check(online: &OnlineHopi) {
+    online.read(oracle_check);
+    let snap = online.snapshot();
+    let g = snap.collection().element_graph();
+    let tc = TransitiveClosure::from_graph(&g);
+    for u in (0..g.id_bound() as u32).filter(|&u| g.is_alive(u)) {
+        for v in (0..g.id_bound() as u32).filter(|&v| g.is_alive(v)) {
+            assert_eq!(
+                snap.connected(u, v),
+                tc.contains(u, v),
+                "snapshot ({u},{v})"
+            );
+        }
+    }
+}
+
+#[test]
+fn online_rebuild_over_an_id_hole_stays_exact() {
+    // A document inserted and deleted again leaves a doc/element id hole
+    // that replaying a delta cannot reproduce; the rebuild must still land
+    // on an exact index.
+    let online = OnlineHopi::new(library());
+    let ghost = online
+        .insert_xml("ghost", r#"<g><cite xlink:href="theory"/></g>"#)
+        .unwrap();
+    online_oracle_check(&online);
+    online.delete_document(ghost).unwrap();
+    online_oracle_check(&online);
+    online.rebuild_blocking();
+    online_oracle_check(&online);
+    assert!(online.read(|h| h.resolve("ghost", "").is_err()));
+}
+
+#[test]
+fn online_rebuild_after_link_deletion_stays_exact() {
+    let online = OnlineHopi::new(library());
+    let (theory, eval) = online.read(|h| {
+        (
+            h.resolve("theory", "thm1").unwrap(),
+            h.resolve("systems", "eval").unwrap(),
+        )
+    });
+    online.insert_link(theory, eval).unwrap();
+    online_oracle_check(&online);
+    assert!(online.connected(theory, eval));
+    online.delete_link(theory, eval).unwrap();
+    online_oracle_check(&online);
+    online.rebuild_blocking();
+    online_oracle_check(&online);
+    assert!(!online.connected(theory, eval), "deleted link came back");
+
+    // The same deletion racing a background rebuild: whether it lands
+    // before the snapshot or in the catch-up window, the swap is exact.
+    online.insert_link(theory, eval).unwrap();
+    let handle = online.rebuild_in_background();
+    online.delete_link(theory, eval).unwrap();
+    handle.join().expect("rebuild thread");
+    online_oracle_check(&online);
+    assert!(!online.connected(theory, eval), "deleted link came back");
+}
+
+#[test]
+fn online_rebuild_shrinks_churned_cover() {
+    use hopi::xml::generator::{dblp, DblpConfig};
+    let online = OnlineHopi::new(Hopi::build(dblp(&DblpConfig::scaled(0.003))).unwrap());
+    let docs: Vec<DocId> = online.read(|h| h.collection().doc_ids().collect());
+    for i in 0..40 {
+        let a = docs[(i * 3) % docs.len()];
+        let b = docs[(i * 11 + 2) % docs.len()];
+        if a != b {
+            let (from, to) = online.read(|h| {
+                let c = h.collection();
+                (c.global_id(a, 0), c.global_id(b, 0))
+            });
+            online.insert_link(from, to).unwrap();
+        }
+    }
+    let churned = online.size();
+    online.rebuild_blocking();
+    assert!(
+        online.size() < churned,
+        "rebuild {} !< churned {churned}",
+        online.size()
+    );
+    online_oracle_check(&online);
+}
+
+#[test]
+fn online_readers_stay_within_bounds_while_links_are_inserted() {
+    use hopi::xml::generator::{dblp, DblpConfig};
+    let collection = dblp(&DblpConfig::scaled(0.002));
+    let docs: Vec<DocId> = collection.doc_ids().collect();
+    let links: Vec<(ElemId, ElemId)> = (0..10)
+        .map(|i| (docs[i % docs.len()], docs[(i + 1) % docs.len()]))
+        .filter(|(a, b)| a != b)
+        .map(|(a, b)| (collection.global_id(a, 0), collection.global_id(b, 0)))
+        .collect();
+    // Inserts only add connections, so every answer a reader sees must
+    // lie between the closure before the first insert and after the last.
+    let before = TransitiveClosure::from_graph(&collection.element_graph());
+    let after = {
+        let mut c = collection.clone();
+        for &(from, to) in &links {
+            c.add_link(from, to);
+        }
+        TransitiveClosure::from_graph(&c.element_graph())
+    };
+    let n = collection.elem_id_bound() as u32;
+    let online = OnlineHopi::new(Hopi::build(collection).unwrap());
+    // Readers and the writer start together so their work overlaps.
+    let start = std::sync::Barrier::new(5);
+    std::thread::scope(|scope| {
+        for t in 0..4 {
+            let (online, before, after, start) = (online.clone(), &before, &after, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..500u32 {
+                    let u = (i * 37 + t) % n;
+                    let v = (i * 61 + t * 13) % n;
+                    let got = online.connected(u, v);
+                    assert!(!before.contains(u, v) || got, "lost ({u},{v})");
+                    assert!(!got || after.contains(u, v), "invented ({u},{v})");
+                }
+            });
+        }
+        let (writer, links, start) = (online.clone(), &links, &start);
+        scope.spawn(move || {
+            start.wait();
+            for &(from, to) in links {
+                writer.insert_link(from, to).unwrap();
+            }
+        });
+    });
+    online_oracle_check(&online);
 }

@@ -171,7 +171,7 @@ proptest! {
             std::process::id(),
             n
         ));
-        hopi.save_frozen(&path).unwrap();
+        hopi.save(&path).unwrap();
         let frozen = load_frozen(&path).unwrap();
         std::fs::remove_file(&path).ok();
         prop_assert!(frozen.with_dist());
