@@ -536,6 +536,35 @@ fn save_frozen_open_round_trips() {
 }
 
 #[test]
+fn save_frozen_distance_round_trips() {
+    let hopi = Hopi::builder()
+        .distance_aware(true)
+        .parse([
+            ("a", r#"<r><cite xlink:href="b"/></r>"#),
+            ("b", r#"<r><s/></r>"#),
+        ])
+        .unwrap();
+    let path = std::env::temp_dir().join(format!(
+        "hopi_facade_frozen_dist_{}.idx",
+        std::process::id()
+    ));
+    // `save` writes the frozen layout, DIST column included.
+    hopi.save(&path).unwrap();
+    let reopened = Hopi::open(hopi.collection().clone(), &path).unwrap();
+    let n = hopi.collection().elem_id_bound() as u32;
+    for u in 0..n {
+        for v in 0..n {
+            assert_eq!(
+                reopened.distance(u, v).unwrap(),
+                hopi.distance(u, v).unwrap(),
+                "dist({u},{v})"
+            );
+        }
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn duplicate_insert_link_is_noop_for_all_reported_state() {
     let mut hopi = Hopi::builder()
         .distance_aware(true)
